@@ -4,7 +4,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-quick bench-interp bench-interp-smoke \
 	bench-residual bench-residual-smoke bench-native native-smoke \
 	fuzz fuzz-smoke fuzz-nightly \
-	serve-bench serve-smoke chaos chaos-smoke chaos-nightly docs
+	serve-bench serve-smoke chaos chaos-smoke chaos-nightly \
+	perfbench-smoke docs
 
 # Tier-1 verification: the full claim-backing test suite.
 test:
@@ -85,6 +86,12 @@ chaos-smoke:
 chaos-nightly:
 	$(PYTHON) -m repro chaos --n 500 --seed $(shell date +%U)00 \
 		--out BENCH_chaos.json
+
+# The PR-blocking smoke of the repository benchmark: every workload,
+# 2 s each, untraced.  Exit 1 when an oracle or determinism check sets
+# `correct` to false.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 2 --trace 0
 
 # The documentation set worth (re)reading, in order.
 docs:

@@ -283,16 +283,10 @@ def residual_policy(certificates: Sequence[DischargeCertificate]
 # -- the verification cache -----------------------------------------------------
 
 
-def _label_spaces(program: Program) -> Tuple[Dict[int, str], Dict[str, int]]:
-    """Bidirectional label ↔ stable-id maps for ``program`` plus the
-    process-shared library parses (``space:index`` in pre-order walk)."""
-    from repro.lang.libraries import contracts_program, prelude_program
-
-    spaces = (("program", program),
-              ("prelude", prelude_program()),
-              ("contracts", contracts_program()))
-    to_stable: Dict[int, str] = {}
-    from_stable: Dict[str, int] = {}
+def _stable_ids(spaces, to_stable: Dict[int, str],
+                from_stable: Dict[str, int]):
+    """Add each ``(space, program)``'s λs to both maps (``space:index``
+    in pre-order walk)."""
     for space, prog in spaces:
         index = 0
         for node in prog.iter_nodes():
@@ -302,6 +296,24 @@ def _label_spaces(program: Program) -> Tuple[Dict[int, str], Dict[str, int]]:
                 from_stable[sid] = node.label
                 index += 1
     return to_stable, from_stable
+
+
+_LIBRARY_SPACES: Optional[Tuple[Dict[int, str], Dict[str, int]]] = None
+
+
+def _label_spaces(program: Program) -> Tuple[Dict[int, str], Dict[str, int]]:
+    """Bidirectional label ↔ stable-id maps for ``program`` plus the
+    process-shared library parses, whose half is built once per process
+    (like :func:`_libraries_digest`), so a call walks only ``program``."""
+    global _LIBRARY_SPACES
+    if _LIBRARY_SPACES is None:
+        from repro.lang.libraries import contracts_program, prelude_program
+
+        _LIBRARY_SPACES = _stable_ids((("prelude", prelude_program()),
+                                       ("contracts", contracts_program())),
+                                      {}, {})
+    lib_to, lib_from = _LIBRARY_SPACES
+    return _stable_ids((("program", program),), dict(lib_to), dict(lib_from))
 
 
 _LIBRARIES_DIGEST: Optional[str] = None

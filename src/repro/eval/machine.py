@@ -956,9 +956,12 @@ def eval_code(
                             f" got {nargs}",
                             loc,
                         )
-                    if native is not None and clam.native is not None and (
+                    if native is not None and (
                             not monitored_modes or clam.discharged or
-                            (skips is not None and clam.label in skips)):
+                            (skips is not None and clam.label in skips)) and (
+                            clam.native is not None or
+                            (clam.native_is_gen is None and
+                             native.emit(clam) is not None)):
                         # Native-tier handoff: the trampoline runs this
                         # call to completion (with interpreter fallbacks
                         # for residual-monitored callees under the state
@@ -1180,8 +1183,9 @@ def run_program(
     ``mode``: ``'off'`` (standard ⇓), ``'contract'`` (λCSCT), ``'full'``
     (λSCT).  ``strategy``: ``'cm'`` or ``'imperative'``.  ``machine``:
     ``'compiled'`` (lexical-addressing pass + slot-frame machine, the
-    default) or ``'tree'`` (the direct AST walker) — observably
-    equivalent, differentially tested, an order apart in speed.
+    default), ``'tree'`` (the direct AST walker) or ``'native'``
+    (:mod:`repro.eval.native`: admitted λs emitted to Python on first
+    entry) — observably equivalent and differentially tested.
 
     ``discharge``: a :class:`~repro.analysis.discharge.ResidualPolicy`
     (or any iterable of λ labels) whose discharged λs run monitor-free:
@@ -1231,16 +1235,8 @@ def run_program(
     compiled = machine != "tree"
     native_ctx = None
     if machine == "native":
-        from repro.eval.native import (
-            NativeContext,
-            ensure_native,
-            ensure_native_libraries,
-        )
+        from repro.eval.native import NativeContext
 
-        # Library λs were resolved policy-free; their native code plus
-        # the monitor's (already installed) skip set is what lets a
-        # policy-covered prelude closure run natively.
-        ensure_native_libraries()
         native_ctx = NativeContext(env, mode=mode, strategy=strategy,
                                    monitor=monitor, mtable=mtable,
                                    fuel=budget)
@@ -1259,8 +1255,6 @@ def run_program(
         for form in program.forms:
             if compiled:
                 code = compile_code(form.expr, skip_labels)
-                if native_ctx is not None:
-                    ensure_native(code)
                 value = eval_code(
                     code, env, mode=mode,
                     strategy=strategy, monitor=monitor, fuel=budget,

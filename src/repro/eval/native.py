@@ -34,6 +34,14 @@ fuel and mutation table, and it does *not* re-enter the native tier, so
 tier nesting is bounded at one interpreter frame regardless of object-
 language recursion depth.
 
+Emission is lazy: a λ's code is generated at its first application
+that the tier-selection rule lets run natively — in ``eval_code``'s
+APPLY hand-off or in the trampoline — and cached on the CLam
+(``native_is_gen`` marks the attempt, so a rejected body is refused
+once).  A λ the rule never admits is never emitted, so a monitored run
+pays only for the code it can actually run, and the libraries are
+emitted λ by λ as policies admit them.
+
 Stack discipline: native functions never call each other on the Python
 stack.  Tail calls *return* a :class:`_Call` request; non-tail calls
 are compiled into generator functions that *yield* the request and are
@@ -252,15 +260,10 @@ class NativeContext:
         # only makes later calls more conservative, never unsound.
         self.d = 0
 
-    def eligible(self, clam) -> bool:
-        """The tier-selection rule (mirrors the inline check in
-        ``eval_code``'s APPLY)."""
-        if clam.native is None:
-            return False
-        if not self.monitored or clam.discharged:
-            return True
-        skips = self.skips
-        return skips is not None and clam.label in skips
+    @staticmethod
+    def emit(clam):
+        """``clam``'s native code, emitted on first call (None: rejected)."""
+        return _compile_lam(clam)
 
     def enter(self, fn, vals, s1, s2):
         """Called from ``eval_code``'s APPLY: run an eligible closure
@@ -299,9 +302,10 @@ class NativeContext:
                             loc,
                         )
                     nf = clam.native
-                    if nf is not None and (
-                            not monitored or clam.discharged or
-                            (skips is not None and clam.label in skips)):
+                    if (not monitored or clam.discharged or
+                            (skips is not None and clam.label in skips)) and (
+                            nf is not None or (clam.native_is_gen is None and
+                            (nf := _compile_lam(clam)) is not None)):
                         vals[0] = fn.env
                         if clam.native_is_gen:
                             gen = nf(fn, vals, self)
@@ -976,11 +980,12 @@ class _Emitter:
             self.line(ind, f"return {v}")
 
 
-def _compile_lam(clam) -> None:
-    """Attach native code to one CLam (best-effort: any emitter or
-    CPython-compile failure leaves the λ interpreted)."""
+def _compile_lam(clam):
+    """Attach native code to one CLam and return it (best-effort: any
+    emitter or CPython-compile failure leaves the λ interpreted and
+    returns None).  Attempted at most once per CLam."""
     if clam.native_is_gen is not None:
-        return  # already attempted
+        return clam.native  # already attempted
     try:
         frame_mode = _contains_lam(clam.body)
         is_gen = _has_risky_nontail(clam.body)
@@ -1033,6 +1038,7 @@ def _compile_lam(clam) -> None:
     except Exception:
         clam.native = None
         clam.native_is_gen = False
+    return clam.native
 
 
 def _machine_undef():
@@ -1042,15 +1048,18 @@ def _machine_undef():
 
 
 def ensure_native(code) -> None:
-    """Walk a resolved tree and compile every λ that has not been
-    attempted yet.  Idempotent and cheap on revisits (the attempt mark
-    lives on the CLam, which the code cache keeps per policy)."""
+    """Walk a resolved tree and emit every λ marked ``discharged`` that
+    has not been attempted yet — the λs any monitored run of ``code``
+    may enter natively.  The run itself never calls this (it emits each
+    λ at its first native entry); it lets a caller pay emission apart
+    from execution.  Idempotent: the attempt mark lives on the CLam,
+    which the code cache keeps per policy."""
     stack = [code]
     while stack:
         node = stack.pop()
         t = node.tag
         if t == T_LAM:
-            if node.native_is_gen is None:
+            if node.discharged and node.native_is_gen is None:
                 _compile_lam(node)
             stack.append(node.body)
         elif t == T_APP:
@@ -1068,23 +1077,8 @@ def ensure_native(code) -> None:
             stack.append(node.expr)
 
 
-_LIBRARIES_DONE = False
-
-
 def ensure_native_libraries() -> None:
-    """Compile native code for the prelude and contract libraries, once
-    per process.  Their closures were resolved without any policy
-    (``skip_labels=None``) during ``make_env``, so this touches exactly
-    the CLam objects those library closures carry — a run whose policy
-    covers a prelude λ (by label, via the monitor's skip set) then runs
-    it natively."""
-    global _LIBRARIES_DONE
-    if _LIBRARIES_DONE:
-        return
-    from repro.eval.machine import _contracts_program, _prelude_program, \
-        compile_code
-
-    for library in (_prelude_program(), _contracts_program()):
-        for form in library.forms:
-            ensure_native(compile_code(form.expr))
-    _LIBRARIES_DONE = True
+    """A no-op, kept only because the repository benchmark
+    (``perfbench/``) imports it; removing it waits for a change to that
+    benchmark.  Library λs are resolved policy-free, so none is marked
+    ``discharged``: each is emitted at its first native entry."""

@@ -179,6 +179,34 @@ class TestVerificationCache:
                         discharge=r.policy)
         assert a.kind == Answer.VALUE and mon.calls_seen == 0
 
+    def test_prelude_ids_roundtrip_through_memoized_library_map(self):
+        """A certificate that discharges a prelude λ names it by stable
+        id; the library half of the label map is built once per process,
+        so a second parse must still relabel it onto the shared prelude
+        parse's λ."""
+        from repro.lang import ast
+        from repro.lang.libraries import prelude_program
+
+        src = ("(define (sq x) (* x x))\n(define (f l) (map sq l))\n"
+               "(f '(1 2 3))\n")
+        cache = VerificationCache()
+        discharge_for_run(parse_program(src), text=src, cache=cache)
+        (stable,) = cache._mem.values()
+        assert "prelude:0" in stable["discharged"]
+        assert stable["label_names"]["prelude:0"] == "map"
+        reparsed = parse_program(src)
+        r = discharge_for_run(reparsed, text=src, cache=cache)
+        assert cache.misses == 1 and cache.hits == 1
+        map_label = next(n.label for n in prelude_program().iter_nodes()
+                         if n.kind == ast.K_LAM)
+        assert map_label in r.policy.skip_labels
+        mon = SCMonitor()
+        for machine in ("compiled", "native"):
+            a = run_program(reparsed, mode="full", monitor=mon,
+                            machine=machine, discharge=r.policy)
+            assert write_value(a.value) == "(1 4 9)"
+        assert mon.calls_seen == 0
+
     def test_key_distinguishes_inputs(self):
         k = VerificationCache.key
         base = k("(f)", "f", ("nat",), None, "sc")

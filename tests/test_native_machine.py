@@ -9,8 +9,9 @@ monitoring, full monitoring (where every λ falls back), and a residual
 policy (where proven λs run as native frames and the rest fall back in
 the same run).  Plus the native-only contracts: the fuel boundary
 (``fuel=0`` means no steps anywhere, exhaustion mid-native-frame is the
-ordinary ``FuelExhausted``) and proper tail calls via the trampoline far
-past CPython's recursion limit.
+ordinary ``FuelExhausted``), proper tail calls via the trampoline far
+past CPython's recursion limit, and lazy emission (a λ's code is emitted
+at its first native entry, or rejected there, and never otherwise).
 """
 
 import sys
@@ -20,8 +21,20 @@ import pytest
 from repro.analysis.discharge import VerificationCache, discharge_for_run
 from repro.corpus import all_programs, diverging_programs
 from repro.eval import FuelExhausted
-from repro.eval.machine import Answer, run_program, run_source
+from repro.eval import native
+from repro.eval.machine import Answer, compile_code, run_program, run_source
 from repro.lang.parser import parse_program
+from repro.lang.resolve import (
+    T_APP,
+    T_BEGIN,
+    T_IF,
+    T_LAM,
+    T_LET,
+    T_LETREC,
+    T_SETGLOBAL,
+    T_SETLOCAL,
+    T_TERMC,
+)
 from repro.sct.monitor import SCMonitor
 from repro.values.values import write_value
 
@@ -80,6 +93,31 @@ def discharged(source, result_kinds=None):
                                result_kinds=result_kinds,
                                cache=VerificationCache(None))
     return parsed, result
+
+
+def code_lams(program, skip_labels=None):
+    """Every CLam of ``program``'s resolved code under one policy (the
+    code cache hands back the very objects a run used)."""
+    lams = []
+    stack = [compile_code(form.expr, skip_labels) for form in program.forms]
+    while stack:
+        node = stack.pop()
+        t = node.tag
+        if t == T_LAM:
+            lams.append(node)
+            stack.append(node.body)
+        elif t == T_APP:
+            stack.extend(node.exprs)
+        elif t == T_IF:
+            stack.extend((node.test, node.then, node.els))
+        elif t == T_BEGIN:
+            stack.extend(node.body)
+        elif t in (T_LET, T_LETREC):
+            stack.extend(node.rhss)
+            stack.append(node.body)
+        elif t in (T_SETLOCAL, T_SETGLOBAL, T_TERMC):
+            stack.append(node.expr)
+    return lams
 
 
 @pytest.mark.parametrize("mode", ["off", "full"])
@@ -323,3 +361,75 @@ class TestTierReporting:
         for machine in ("tree", "compiled"):
             a = run_source("(+ 1 2)", mode="off", machine=machine)
             assert a.tier == machine
+
+
+class TestLazyEmission:
+    """Native code is emitted at a λ's first entry that the
+    tier-selection rule lets run natively, and never for a λ the rule
+    does not admit."""
+
+    SPIN = ("(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n"
+            "(define (up l) (up (cons (len l) l)))\n"
+            "(up '())\n")
+
+    def test_monitored_run_without_discharge_emits_nothing(self):
+        prog = next(p for p in PROGRAMS if p.name == "sct-1")
+        parsed = parse_program(prog.source)
+        a = run_program(parsed, mode="full", machine="native",
+                        monitor=SCMonitor(measures=prog.measures))
+        assert a.kind == Answer.VALUE and a.tier == "compiled"
+        lams = code_lams(parsed)
+        assert lams
+        assert all(lam.native_is_gen is None for lam in lams)
+
+    def test_code_emitted_unmonitored_never_runs_a_monitored_frame(self):
+        parsed = parse_program(self.SPIN)
+        runs = []
+        for mode in ("full", "off", "full"):
+            mon = SCMonitor()
+            runs.append((run_program(parsed, mode=mode, monitor=mon,
+                                     fuel=200_000, machine="native"), mon))
+        (first, m1), (off, _), (again, m3) = runs
+        assert off.kind == Answer.TIMEOUT and off.tier == "native"
+        assert all(lam.native is not None for lam in code_lams(parsed))
+        assert first.kind == again.kind == Answer.SC_ERROR
+        assert again.tier == "compiled"
+        assert str(again.violation) == str(first.violation)
+        assert_same_answer(first, again)
+        assert m1.calls_seen == m3.calls_seen > 0
+
+
+    def test_ensure_native_emits_only_discharged_lams(self):
+        parsed, result = discharged(TestFallbackBoundary.SRC)
+        skip = frozenset(result.policy.skip_labels)
+        for form in parsed.forms:
+            native.ensure_native(compile_code(form.expr, skip))
+        lams = {lam.name: lam for lam in code_lams(parsed, skip)}
+        assert lams["len"].discharged and lams["len"].native is not None
+        assert not lams["up"].discharged
+        assert lams["up"].native_is_gen is None
+
+
+class TestEmitterRejection:
+    """A body the emitter refuses (``_Unsupported``) is rejected at its
+    first native entry and runs interpreted, observably unchanged."""
+
+    def test_too_deep_callee_rejected_lazily_from_a_native_frame(self):
+        body = "n"
+        for i in range(native._MAX_INDENT + 5):
+            body = f"(if (= n {i + 1000}) {i} {body})"
+        src = (f"(define (deep n) (begin (display n) {body}))\n"
+               "(define (outer n) (+ 1 (deep n)))\n"
+               "(outer 7)\n")
+        parsed = parse_program(src)
+        answers = {machine: run_program(parsed, mode="off",
+                                        machine=machine)
+                   for machine in ("compiled", "native")}
+        assert answers["native"].tier == "native"
+        assert_same_answer(answers["compiled"], answers["native"])
+        assert write_value(answers["native"].value) == "8"
+        assert answers["native"].output == "7"
+        lams = {lam.name: lam for lam in code_lams(parsed)}
+        deep, outer = lams["deep"], lams["outer"]
+        assert deep.native is None and deep.native_is_gen is False
+        assert outer.native is not None
