@@ -50,7 +50,8 @@ native-smoke:
 		--out BENCH_fuzz_native.json
 
 # Differential fuzzing over {tree,compiled,native} x {bitmask,reference}
-# x {off,monitored,discharged}.  Nonzero exit on any divergence.
+# x {off,monitored,discharged}.  Nonzero exit on any divergence, or when
+# a native off/discharged cell never enters the native tier.
 fuzz:
 	$(PYTHON) -m repro fuzz --n 500 --seed 0 --out BENCH_fuzz.json
 

@@ -60,7 +60,8 @@ discharged}
 matrix, greedy shrinking, and the ``tests/regressions/`` archive.
 ``--replay`` re-runs one archived ``.scm`` repro (or any campaign seed
 via ``--seed S --n 1``).  The exit code gates CI: 0 when every oracle
-check passed, 1 when any divergence was found.
+check passed, 1 when any divergence was found or a native ``off`` or
+``discharged`` cell never entered the tier (``monitored`` admits no λ).
 
 ``--fuel`` (run/trace/fuzz) bounds machine steps like ``--max-steps``
 but reports exhaustion distinctly (``FuelExhausted``) — the fuzzer's
@@ -597,7 +598,12 @@ def _cmd_fuzz(args) -> int:
                           f"{len(d.shrunk)} chars in {d.shrink_steps} steps")
         else:
             print("no divergences: every oracle check passed")
-    return 1 if report.divergences else 0
+    idle = [c for c, n in report.native_entered.items()
+            if not n and not c.endswith(":monitored")]
+    if idle:
+        print(f"native tier never entered in: {', '.join(idle)}",
+              file=sys.stderr)
+    return 1 if report.divergences or idle else 0
 
 
 def _cmd_chaos(args) -> int:

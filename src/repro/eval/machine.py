@@ -44,6 +44,7 @@ from typing import List, Optional
 from repro.ds.hamt import Hamt
 from repro.ds.lru import LRU
 from repro.eval.errors import FuelExhausted, MachineTimeout, SchemeError
+from repro.eval.native import HOT_AFTER, NativeContext, _compile_lam
 from repro.lang import ast, libraries
 from repro.lang.parser import parse_program
 from repro.lang.prims import PRIMITIVES
@@ -110,8 +111,8 @@ class Answer:
 
     ``tier`` names the execution tier that actually did the work:
     ``'tree'``, ``'compiled'``, or ``'native'`` when a ``machine='native'``
-    run entered at least one native frame (a native run that stayed on
-    the interpreter — nothing eligible — reports ``'compiled'``)."""
+    run entered at least one native frame (a native run where nothing
+    eligible got hot stayed interpreted and reports ``'compiled'``)."""
 
     __slots__ = ("kind", "value", "error", "violation", "output", "steps",
                  "tier")
@@ -468,8 +469,9 @@ def eval_code(
     ``native`` — a :class:`repro.eval.native.NativeContext`; when given,
     applying a closure the native tier covers (compiled body, and either
     an unmonitored mode or a discharged/skip-listed λ) hands the call to
-    the native trampoline instead of entering the body here.  Fallbacks
-    from native code pass ``native=None``, which bounds tier nesting.
+    the native trampoline from the λ's ``native.hot_after``-th entry in
+    the run on, emitting its code at the first.  Fallbacks from native
+    code pass ``native=None``, which bounds tier nesting.
     """
     if monitor is None:
         monitor = SCMonitor()
@@ -517,6 +519,8 @@ def eval_code(
         mtable = {}
 
     gget = genv.by_name.get
+    if native is not None:  # per-run entry counts of still-cold λs
+        seen, hot_after = native.seen, native.hot_after
     _MISS = _UNDEF  # distinct sentinel reuse is fine: globals never hold it
 
     # Hot-loop aliases: cell/local loads beat global loads in CPython, and
@@ -958,22 +962,26 @@ def eval_code(
                         )
                     if native is not None and (
                             not monitored_modes or clam.discharged or
-                            (skips is not None and clam.label in skips)) and (
-                            clam.native is not None or
-                            (clam.native_is_gen is None and
-                             native.emit(clam) is not None)):
-                        # Native-tier handoff: the trampoline runs this
-                        # call to completion (with interpreter fallbacks
-                        # for residual-monitored callees under the state
-                        # captured here).  Fuel is shared through the
-                        # _Fuel cell, so publish and reload around it.
-                        fuel.left = steps_left
-                        try:
-                            val = native.enter(fn, vals, s1, s2)
-                        finally:
-                            steps_left = fuel.left
-                        returning = True
-                        break
+                            (skips is not None and clam.label in skips)):
+                        n = seen.get(clam, 0) + 1
+                        if n < hot_after:
+                            seen[clam] = n  # still cold: interpret
+                        elif clam.native is not None or (
+                                clam.native_is_gen is None and
+                                _compile_lam(clam) is not None):
+                            # Native-tier handoff: the trampoline runs
+                            # this call to completion (with interpreter
+                            # fallbacks for residual-monitored callees
+                            # under the state captured here).  Fuel is
+                            # shared through the _Fuel cell: publish,
+                            # then reload.
+                            fuel.left = steps_left
+                            try:
+                                val = native.enter(fn, vals, s1, s2)
+                            finally:
+                                steps_left = fuel.left
+                            returning = True
+                            break
                     if imperative:
                         if s1 and not clam.discharged and (
                                 skips is None or clam.label not in skips) and (
@@ -1156,6 +1164,7 @@ def run_program(
     include_prelude: bool = True,
     machine: str = "compiled",
     discharge=None,
+    hot_after: int = HOT_AFTER,
 ) -> Answer:
     """Run a whole program; the answer holds the last expression's value.
 
@@ -1184,8 +1193,9 @@ def run_program(
     (λSCT).  ``strategy``: ``'cm'`` or ``'imperative'``.  ``machine``:
     ``'compiled'`` (lexical-addressing pass + slot-frame machine, the
     default), ``'tree'`` (the direct AST walker) or ``'native'``
-    (:mod:`repro.eval.native`: admitted λs emitted to Python on first
-    entry) — observably equivalent and differentially tested.
+    (:mod:`repro.eval.native`: an admitted λ goes native at its
+    ``hot_after``-th entry; an internal knob for tests and the fuzz
+    oracle) — observably equivalent and differentially tested.
 
     ``discharge``: a :class:`~repro.analysis.discharge.ResidualPolicy`
     (or any iterable of λ labels) whose discharged λs run monitor-free:
@@ -1235,11 +1245,9 @@ def run_program(
     compiled = machine != "tree"
     native_ctx = None
     if machine == "native":
-        from repro.eval.native import NativeContext
-
         native_ctx = NativeContext(env, mode=mode, strategy=strategy,
                                    monitor=monitor, mtable=mtable,
-                                   fuel=budget)
+                                   fuel=budget, hot_after=hot_after)
 
     def spent() -> int:
         # The eval loops publish fuel.left in a finally, so this is

@@ -11,8 +11,9 @@ a trampoline driver strings those functions together with proper tail
 calls and an interpreter fallback for everything the tier does not
 cover.
 
-Tier-selection rule (checked per *application*, so one program freely
-mixes native and interpreted frames across call boundaries):
+Which λs *may* run natively is checked per *application*, so one
+program freely mixes native and interpreted frames (when they do is
+set by heat, below):
 
 * under ``mode='off'`` every compiled λ is eligible — there is no
   monitoring state to maintain;
@@ -34,13 +35,14 @@ fuel and mutation table, and it does *not* re-enter the native tier, so
 tier nesting is bounded at one interpreter frame regardless of object-
 language recursion depth.
 
-Emission is lazy: a λ's code is generated at its first application
-that the tier-selection rule lets run natively — in ``eval_code``'s
-APPLY hand-off or in the trampoline — and cached on the CLam
-(``native_is_gen`` marks the attempt, so a rejected body is refused
-once).  A λ the rule never admits is never emitted, so a monitored run
-pays only for the code it can actually run, and the libraries are
-emitted λ by λ as policies admit them.
+Interpret first, go native when hot: ``eval_code``'s APPLY hands an
+admitted λ over at its ``HOT_AFTER``-th entry in the run
+(counted in ``NativeContext.seen``, per run and not on the shared CLam,
+so repeat runs take identical steps), and the trampoline runs admitted
+callees natively from their first entry, since a fallback never comes
+back.  A λ's code is emitted when it first runs natively and cached on
+the CLam (``native_is_gen`` marks the attempt), so a cold run emits
+nothing.
 
 Stack discipline: native functions never call each other on the Python
 stack.  Tail calls *return* a :class:`_Call` request; non-tail calls
@@ -94,7 +96,11 @@ from repro.values.values import (
     write_value,
 )
 
-__all__ = ["NativeContext", "ensure_native", "ensure_native_libraries"]
+__all__ = ["HOT_AFTER", "NativeContext"]
+
+# Entries of an admitted λ in one run before ``eval_code`` hands it over:
+# emission (mostly CPython ``compile()``) outweighs a short run's saving.
+HOT_AFTER = 16
 
 # Names statically bound to primitives in every fresh environment.  A
 # non-tail call whose head is one of these is *prim-likely*: the emitter
@@ -236,10 +242,11 @@ class NativeContext:
     cell, and the trampoline itself."""
 
     __slots__ = ("genv", "gget", "mode", "strategy", "monitor", "mtable",
-                 "fuel", "monitored", "skips", "entries", "s1", "s2", "d")
+                 "fuel", "monitored", "skips", "entries", "s1", "s2", "d",
+                 "seen", "hot_after")
 
     def __init__(self, genv, *, mode: str, strategy: str, monitor,
-                 mtable: Optional[dict], fuel):
+                 mtable: Optional[dict], fuel, hot_after: int = HOT_AFTER):
         self.genv = genv
         self.gget = genv.by_name.get
         self.mode = mode
@@ -250,6 +257,8 @@ class NativeContext:
         self.monitored = mode != "off"
         self.skips = monitor.skip_labels
         self.entries = 0
+        self.seen: dict = {}  # CLam -> eval_code entries while cold
+        self.hot_after = hot_after
         self.s1 = None
         self.s2 = None
         # Direct-call depth: native frames may call each other on the
@@ -259,11 +268,6 @@ class NativeContext:
         # counter is monotone-correct: an exception that skips decrements
         # only makes later calls more conservative, never unsound.
         self.d = 0
-
-    @staticmethod
-    def emit(clam):
-        """``clam``'s native code, emitted on first call (None: rejected)."""
-        return _compile_lam(clam)
 
     def enter(self, fn, vals, s1, s2):
         """Called from ``eval_code``'s APPLY: run an eligible closure
@@ -983,9 +987,7 @@ class _Emitter:
 def _compile_lam(clam):
     """Attach native code to one CLam and return it (best-effort: any
     emitter or CPython-compile failure leaves the λ interpreted and
-    returns None).  Attempted at most once per CLam."""
-    if clam.native_is_gen is not None:
-        return clam.native  # already attempted
+    returns None).  Callers attempt it at most once per CLam."""
     try:
         frame_mode = _contains_lam(clam.body)
         is_gen = _has_risky_nontail(clam.body)
@@ -1047,38 +1049,12 @@ def _machine_undef():
     return _UNDEF
 
 
-def ensure_native(code) -> None:
-    """Walk a resolved tree and emit every λ marked ``discharged`` that
-    has not been attempted yet — the λs any monitored run of ``code``
-    may enter natively.  The run itself never calls this (it emits each
-    λ at its first native entry); it lets a caller pay emission apart
-    from execution.  Idempotent: the attempt mark lives on the CLam,
-    which the code cache keeps per policy."""
-    stack = [code]
-    while stack:
-        node = stack.pop()
-        t = node.tag
-        if t == T_LAM:
-            if node.discharged and node.native_is_gen is None:
-                _compile_lam(node)
-            stack.append(node.body)
-        elif t == T_APP:
-            stack.extend(node.exprs)
-        elif t == T_IF:
-            stack.append(node.test)
-            stack.append(node.then)
-            stack.append(node.els)
-        elif t == T_BEGIN:
-            stack.extend(node.body)
-        elif t == T_LET or t == T_LETREC:
-            stack.extend(node.rhss)
-            stack.append(node.body)
-        elif t == T_SETLOCAL or t == T_SETGLOBAL or t == T_TERMC:
-            stack.append(node.expr)
+def ensure_native(*_) -> None:
+    """A no-op, kept with its alias ``ensure_native_libraries`` only
+    because the repository benchmark (``perfbench/``) imports both;
+    removing them waits for a change to that benchmark.  A λ is emitted
+    when it gets hot in a run, so a pass before the run would pay for
+    cold code."""
 
 
-def ensure_native_libraries() -> None:
-    """A no-op, kept only because the repository benchmark
-    (``perfbench/``) imports it; removing it waits for a change to that
-    benchmark.  Library λs are resolved policy-free, so none is marked
-    ``discharged``: each is emitted at its first native entry."""
+ensure_native_libraries = ensure_native

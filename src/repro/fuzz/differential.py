@@ -82,7 +82,7 @@ class CellResult:
     """One cell's observables, all pre-rendered to bytes-stable text."""
 
     __slots__ = ("cell", "kind", "value", "output", "violation", "error",
-                 "fuel_exhausted")
+                 "fuel_exhausted", "tier")
 
     def __init__(self, cell: Tuple[str, str, str], answer: Answer):
         self.cell = cell
@@ -94,6 +94,7 @@ class CellResult:
                           if answer.violation is not None else None)
         self.error = str(answer.error) if answer.error is not None else None
         self.fuel_exhausted = isinstance(answer.error, FuelExhausted)
+        self.tier = answer.tier
 
     def signature(self) -> Tuple:
         """What byte-identity compares within a policy group."""
@@ -211,10 +212,11 @@ def run_matrix(program: GenProgram,
         monitor = SCMonitor(engine=engine)
         mode = "off" if pol == "off" else "full"
         discharge = policy if pol == "discharged" else None
-        try:
+        try:  # hot_after=1: short generated runs still reach native code
             answer = run_program(parsed, mode=mode, strategy="cm",
                                  monitor=monitor, fuel=fuel,
-                                 machine=machine, discharge=discharge)
+                                 machine=machine, discharge=discharge,
+                                 hot_after=1)
         except Exception as exc:  # noqa: BLE001 - crash ≠ clean answer
             divergences.append(Divergence(
                 "machine-crash",
@@ -360,6 +362,7 @@ class FuzzReport:
         self.discharge_expected = 0
         self.divergences: List[Divergence] = []
         self.elapsed = 0.0
+        self.native_entered: Dict[str, int] = {}  # cell -> native runs
 
     @property
     def programs_per_sec(self) -> float:
@@ -376,6 +379,7 @@ class FuzzReport:
             "verified": self.verified,
             "discharge_expected": self.discharge_expected,
             "discharged": self.discharged,
+            "native_entered": dict(self.native_entered),
             "divergences_found": len(self.divergences),
             "shrink_sizes": [len(d.shrunk) for d in self.divergences
                              if d.shrunk is not None],
@@ -397,6 +401,8 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
 
     cells = default_cells(matrix)
     report = FuzzReport()
+    report.native_entered = {":".join(c): 0 for c in cells
+                             if c[0] == "native"}
     start = time.perf_counter()
     for i in range(n):
         s = seed + i
@@ -416,6 +422,9 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
             report.discharge_expected += 1
             if result.discharge_complete:
                 report.discharged += 1
+        for r in result.cells:
+            if r.tier == "native":
+                report.native_entered[":".join(r.cell)] += 1
         for div in result.divergences:
             if shrink:
                 shrink_divergence(div, cells=cells, fuel=fuel,

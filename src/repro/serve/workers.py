@@ -45,8 +45,8 @@ def worker_init(cache_dir: Optional[str], shard_depth: int,
     _STATE["env"] = make_env(True, machine="native")
     # Content-addressed program cache, next to the certificate cache: a
     # repeat request re-uses the parsed AST, so its compiled Code *and*
-    # the native code each CLam got at its first native entry stay warm
-    # across requests instead of being rebuilt per job.
+    # the native code each hot CLam got stay warm across requests
+    # instead of being rebuilt per job.
     _STATE["programs"] = LRU(64)
 
 

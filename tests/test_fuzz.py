@@ -135,6 +135,30 @@ class TestFuzzCampaign:
         assert payload["divergences_found"] == 0
         assert "programs_per_sec" in payload
 
+    def test_native_cells_report_native_runs(self):
+        # Native cells run with hot_after=1, so short generated programs
+        # still execute emitted code; monitored cells admit no λ.
+        report = run_fuzz(4, seed=0, mode="terminating", matrix="quick",
+                          shrink=False)
+        entered = report.to_json()["native_entered"]
+        assert set(entered) == {"native:bitmask:off",
+                                "native:bitmask:monitored",
+                                "native:bitmask:discharged"}
+        assert entered["native:bitmask:off"] == 4
+        assert entered["native:bitmask:discharged"] > 0
+        assert entered["native:bitmask:monitored"] == 0
+
+    def test_cli_fails_when_a_native_cell_never_enters(self, capsys):
+        from repro.cli import main
+
+        # No programs: the off cell never runs a native frame.
+        assert main(["fuzz", "--n", "0", "--matrix",
+                     "native:bitmask:off"]) == 1
+        assert "never entered" in capsys.readouterr().err
+        assert main(["fuzz", "--n", "2", "--mode", "terminating",
+                     "--matrix", "native:bitmask:off,"
+                     "native:bitmask:monitored"]) == 0
+
 
 class TestShrinker:
     def test_forms_round_trip(self):

@@ -10,8 +10,9 @@ policy (where proven λs run as native frames and the rest fall back in
 the same run).  Plus the native-only contracts: the fuel boundary
 (``fuel=0`` means no steps anywhere, exhaustion mid-native-frame is the
 ordinary ``FuelExhausted``), proper tail calls via the trampoline far
-past CPython's recursion limit, and lazy emission (a λ's code is emitted
-at its first native entry, or rejected there, and never otherwise).
+past CPython's recursion limit, and the hot hand-off (an admitted λ
+runs interpreted until its ``HOT_AFTER``-th entry in the run, is
+emitted there, or rejected, and never otherwise).
 """
 
 import sys
@@ -170,9 +171,10 @@ class TestFallbackBoundary:
     fallback frames (an unproven diverging λ): the violation must cross
     the boundary with an identical witness."""
 
+    # len recurses past HOT_AFTER, so the native run hands it over.
     SRC = ("(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n"
            "(define (up l) (up (cons 1 l)))\n"
-           "(len '(1 2 3))\n"
+           "(len '(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20))\n"
            "(up '())\n")
 
     def test_violation_identical_across_boundary(self):
@@ -331,7 +333,7 @@ class TestMutationOrder:
         assert answers["tree"].kind == Answer.VALUE
         assert_all_same(answers)
         a = run_program(parsed, mode="full", machine="native",
-                        discharge=result.policy)
+                        discharge=result.policy, hot_after=1)
         assert a.tier == "native"
         assert write_value(a.value) == write_value(
             answers["tree"].value)
@@ -341,10 +343,11 @@ class TestTierReporting:
     """``Answer.tier`` names the tier that actually did the work."""
 
     def test_unmonitored_run_reports_native(self):
-        # tier is "what ran a λ frame": a program with an actual
-        # application reports native; pure top-level arithmetic never
-        # enters a frame and honestly reports compiled.
-        src = "(define (f n) (if (zero? n) 1 (f (- n 1))))\n(f 5)\n"
+        # tier is "what ran a λ frame": a program whose λ gets hot
+        # reports native; pure top-level arithmetic never enters a frame
+        # and honestly reports compiled.
+        src = ("(define (f n) (if (zero? n) 1 (f (- n 1))))\n"
+               f"(f {native.HOT_AFTER + 5})\n")
         a = run_source(src, mode="off", machine="native")
         assert a.kind == Answer.VALUE and a.value == 1
         assert a.tier == "native"
@@ -364,8 +367,8 @@ class TestTierReporting:
 
 
 class TestLazyEmission:
-    """Native code is emitted at a λ's first entry that the
-    tier-selection rule lets run natively, and never for a λ the rule
+    """Native code is emitted when the hot hand-off (or the trampoline)
+    first runs a λ natively, and never for a λ the tier-selection rule
     does not admit."""
 
     SPIN = ("(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n"
@@ -399,15 +402,85 @@ class TestLazyEmission:
         assert m1.calls_seen == m3.calls_seen > 0
 
 
-    def test_ensure_native_emits_only_discharged_lams(self):
-        parsed, result = discharged(TestFallbackBoundary.SRC)
+class TestHotHandOff:
+    """``eval_code`` hands an admitted λ to the native tier only at its
+    ``HOT_AFTER``-th entry in the run: a cold run stays interpreted and
+    emits nothing, a hand-off mid-loop or mid-recursion is observably
+    invisible, and the count is per run, so repeat runs match."""
+
+    COUNT = ("(define (count n) (if (zero? n) (begin (display 'bottom) 0)"
+             " (+ 1 (count (- n 1)))))\n(count 20000)\n")
+    DOWN = ("(define (down n acc) (if (zero? n) (begin (display acc) acc)"
+            " (down (- n 1) (+ acc n))))\n(down 50000 0)\n")
+    # up descends in n, then spins at n = 0 (a violation); len is
+    # discharged and gets hot on the way down.
+    UP = ("(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))\n"
+          "(define (up n l) (if (zero? n) (up n l)"
+          " (up (- n 1) (cons (len l) l))))\n"
+          "(up 10 '())\n")
+
+    def test_cold_run_stays_interpreted_and_emits_nothing(self):
+        parsed, result = discharged(
+            "(define (f n) (if (zero? n) 1 (f (- n 1))))\n"
+            f"(f {native.HOT_AFTER - 2})\n")
+        assert result.complete
         skip = frozenset(result.policy.skip_labels)
-        for form in parsed.forms:
-            native.ensure_native(compile_code(form.expr, skip))
+        for mode, discharge, lams in (
+                ("off", None, code_lams(parsed)),
+                ("full", result.policy, code_lams(parsed, skip))):
+            a = run_program(parsed, mode=mode, machine="native",
+                            discharge=discharge)
+            assert a.kind == Answer.VALUE and a.value == 1
+            assert a.tier == "compiled"
+            assert lams
+            assert all(lam.native_is_gen is None for lam in lams)
+
+    @pytest.mark.parametrize("policy", ["off", "discharged"])
+    @pytest.mark.parametrize("src", ["COUNT", "DOWN"])
+    def test_hand_off_mid_loop_matches_other_machines(self, src, policy):
+        if src == "COUNT":
+            assert 20_000 > sys.getrecursionlimit()
+        parsed, result = discharged(getattr(self, src))
+        assert result.complete
+        answers = run_everywhere(
+            parsed, mode="off" if policy == "off" else "full",
+            discharge=result.policy if policy == "discharged" else None)
+        assert answers["tree"].kind == Answer.VALUE
+        assert answers["tree"].output
+        assert_all_same(answers)
+        assert answers["native"].tier == "native"
+
+    @pytest.mark.parametrize("src", ["COUNT", "DOWN", "UP"])
+    def test_repeat_runs_take_identical_steps_and_tier(self, src):
+        source = getattr(self, src)
+
+        def run(parsed, result):
+            return run_program(parsed, mode="full", machine="native",
+                               fuel=3_000_000, discharge=result.policy)
+
+        parsed, result = discharged(source)
+        first, second = run(parsed, result), run(parsed, result)
+        fresh = run(*discharged(source))
+        assert first.tier == "native"
+        for other in (second, fresh):
+            assert (other.steps, other.tier) == (first.steps, first.tier)
+            assert_same_answer(first, other)
+
+    def test_violation_after_helper_gets_hot(self):
+        parsed, result = discharged(self.UP)
+        assert not result.complete
+        skip = frozenset(result.policy.skip_labels)
         lams = {lam.name: lam for lam in code_lams(parsed, skip)}
-        assert lams["len"].discharged and lams["len"].native is not None
-        assert not lams["up"].discharged
-        assert lams["up"].native_is_gen is None
+        assert lams["len"].discharged and not lams["up"].discharged
+        answers = {machine: run_program(
+            parsed, mode="full", machine=machine, fuel=3_000_000,
+            discharge=result.policy) for machine in ("compiled", "native")}
+        assert answers["compiled"].kind == Answer.SC_ERROR
+        assert answers["native"].tier == "native"
+        assert lams["len"].native is not None
+        assert str(answers["native"].violation) == \
+            str(answers["compiled"].violation)
+        assert_same_answer(answers["compiled"], answers["native"])
 
 
 class TestEmitterRejection:
@@ -423,7 +496,7 @@ class TestEmitterRejection:
                "(outer 7)\n")
         parsed = parse_program(src)
         answers = {machine: run_program(parsed, mode="off",
-                                        machine=machine)
+                                        machine=machine, hot_after=1)
                    for machine in ("compiled", "native")}
         assert answers["native"].tier == "native"
         assert_same_answer(answers["compiled"], answers["native"])

@@ -27,6 +27,8 @@ from repro.serve import AsyncServeClient, ServeConfig, SizedServer
 
 LOOP = "(define (spin n) (spin (+ n 1)))\n(spin 0)\n"
 QUICK = "(define (f n) (if (zero? n) 42 (f (- n 1))))\n(f 10)\n"
+# A discharged loop that runs past the native tier's hot threshold.
+HOT = "(define (f n) (if (zero? n) 42 (f (- n 1))))\n(f 40)\n"
 
 
 @contextlib.asynccontextmanager
@@ -156,12 +158,12 @@ class TestDedupe:
 class TestNativeTier:
     def test_discharged_repeat_traffic_runs_native(self):
         """The warm path the native tier exists for: repeat traffic whose
-        termination checks fully discharge must execute native, and the
-        stats surface must count it."""
+        termination checks fully discharge must execute native once its
+        loop gets hot, and the stats surface must count it."""
         async def body():
             async with serve() as (_, c):
                 for _ in range(3):
-                    r = await c.request({"op": "run", "program": QUICK})
+                    r = await c.request({"op": "run", "program": HOT})
                     assert r["ok"] and r["value"] == "42"
                     assert r["discharge"]["complete"] is True
                     assert r["tier"] == "native"
@@ -173,9 +175,9 @@ class TestNativeTier:
         async def body():
             async with serve(batch_window_ms=25.0) as (_, c):
                 a, b = await asyncio.gather(
-                    c.request({"op": "run", "program": QUICK,
+                    c.request({"op": "run", "program": HOT,
                                "machine": "compiled"}),
-                    c.request({"op": "run", "program": QUICK,
+                    c.request({"op": "run", "program": HOT,
                                "machine": "native"}))
                 assert a["ok"] and a["tier"] == "compiled"
                 assert b["ok"] and b["tier"] == "native"
