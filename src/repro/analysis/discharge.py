@@ -42,6 +42,7 @@ Soundness inventory (what a ``SKIP`` relies on):
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -333,6 +334,27 @@ def _libraries_digest() -> str:
     return _LIBRARIES_DIGEST
 
 
+_VERIFIER_DIGEST: Optional[str] = None
+
+
+def _verifier_digest() -> str:
+    """One digest over the verifier's own sources (``symbolic/``,
+    ``solver/``, ``mc/``, ``analysis/ljb.py`` and this module), computed
+    once per process like :func:`_libraries_digest`."""
+    global _VERIFIER_DIGEST
+    if _VERIFIER_DIGEST is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        h = hashlib.sha256()
+        for rel in sorted(os.path.relpath(p, root) for pattern in (
+                "symbolic/*.py", "solver/*.py", "mc/*.py", "analysis/ljb.py",
+                "analysis/discharge.py")
+                for p in glob.glob(os.path.join(root, pattern))):
+            with open(os.path.join(root, rel), "rb") as fh:
+                h.update(rel.encode() + b"\0" + fh.read() + b"\0")
+        _VERIFIER_DIGEST = h.hexdigest()
+    return _VERIFIER_DIGEST
+
+
 class VerificationCache:
     """Content-addressed certificate store.
 
@@ -419,6 +441,9 @@ class VerificationCache:
             # it was computed against, or a package upgrade could
             # discharge the wrong (never-verified) λ.
             "libraries_sha256": _libraries_digest(),
+            # ...and with the verifier that computed it: a certificate
+            # from before a verifier fix must not outlive the fix.
+            "verifier_sha256": _verifier_digest(),
             "entry": entry,
             "kinds": list(kinds),
             "result_kinds": sorted((result_kinds or {}).items()),

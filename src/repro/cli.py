@@ -241,7 +241,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_fuzz.add_argument("--features", default=None,
                         help="comma-subset of the generator features "
                              "(accumulators,higher-order,contracts,cells,"
-                             "vectors,promises,output)")
+                             "vectors,promises,output,mutation; opt-in: "
+                             "wide-table)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="report divergences unminimized")
     p_fuzz.add_argument("--max-shrink", type=int, default=200,

@@ -90,13 +90,37 @@ KF_RESTORE = 8
 _UNDEF = object()
 
 # The compiled machine's cm-strategy fast path keeps the size-change table
-# as (base, closure, entry, closure, entry, ...): a flat identity-scanned
-# part in front of an optional HAMT base.  When the flat part holds 16
-# closures (33 slots, ≈ where linear scan and hashed lookup break even) it
-# folds into the base and starts fresh, so a loop's hot closures always
-# sit in the flat part.
-_TABLE_PROMOTE = 33
+# as dict chunks keyed by the closure itself (identity hash/eq): a pair
+# (top, older) of the top chunk and a tuple of older chunks, newest first.
+# A lookup takes the first hit, and a published chunk is never mutated, so
+# every continuation frame's snapshot stays valid.  (A pair, not one flat
+# tuple of chunks: re-pairing is cheaper than slicing on every call.)
+_CHUNK = 32
+_EMPTY_TABLE = ({}, ())
 _EMPTY_FSET = frozenset()
+
+
+def _table_put(table: tuple, fn, entry) -> tuple:
+    """``table`` extended with ``fn ↦ entry`` (the caller's copy is
+    untouched).  While the top chunk has room, or already holds ``fn``, it
+    is copied and set.  A full top spills: it merges with each next chunk
+    smaller than twice the merge so far — a binary counter whose doubling
+    rule survives shadowed duplicates collapsing — and ``{fn: entry}``
+    starts a new top.  Chunk count stays ≤ log2(n/_CHUNK) + 2."""
+    top, older = table
+    if len(top) < _CHUNK or fn in top:
+        top = top.copy()
+        top[fn] = entry
+        return top, older
+    n = len(older)
+    i = 0
+    while i < n and len(older[i]) < 2 * len(top):
+        merged = older[i].copy()
+        merged.update(top)
+        top = merged
+        i += 1
+    return {fn: entry}, (top,) + older[i:]
+
 
 ROOT_BLAME = "the program"
 
@@ -488,9 +512,8 @@ def eval_code(
     # repro.sct.monitor): `skip_should` elides the constant-true policy
     # check, `inline_upd` replicates upd/upd_mut inline — tables keyed by
     # the closure object itself (identity semantics, no key allocation),
-    # with the cm table held as a flat identity-scanned tuple that
-    # promotes to the HAMT past _TABLE_PROMOTE slots — and `advance` is
-    # the (possibly specialized) evidence step.
+    # with the cm table held in dict chunks (see _table_put) — and
+    # `advance` is the (possibly specialized) evidence step.
     # Residual enforcement: `skips` is the monitor's discharged-λ set and
     # every compiled λ carries a `discharged` mark, so a statically proven
     # closure takes the monitor-free path below — no policy call, no table
@@ -508,7 +531,8 @@ def eval_code(
     restore_mut = monitor.restore_mut
 
     if mode == "full":
-        s1 = True if imperative else ((None,) if inline_upd else Hamt.empty())
+        s1 = True if imperative else (
+            _EMPTY_TABLE if inline_upd else Hamt.empty())
         s2 = ROOT_BLAME
     else:
         s1 = False if imperative else None
@@ -1019,50 +1043,21 @@ def eval_code(
                                 args = (vals[1], vals[2], vals[3])
                             else:
                                 args = tuple(vals[1:])
-                            if type(s1) is tuple:
-                                # Hybrid identity table: (base, clo, entry,
-                                # clo, entry, ...).  The flat part is scanned
-                                # with `is` — closures that actually recur
-                                # live there and pay no hashing; one-shot
-                                # closures go straight into the `base` HAMT
-                                # (slot 0), which the flat part shadows.
+                            if type(s1) is tuple:  # see _table_put
                                 monitor.calls_seen += 1
-                                L = len(s1)
-                                i = 1
-                                while i < L:
-                                    if s1[i] is fn:
-                                        break
-                                    i += 2
-                                if i < L:
-                                    entry = advance(s1[i + 1], fn, args, s2)
-                                    if L == 3:  # the one-loop common case
-                                        s1 = (s1[0], fn, entry)
-                                    else:
-                                        s1 = s1[:i] + (fn, entry) + s1[i + 2:]
+                                entry = s1[0].get(fn)
+                                if entry is None:
+                                    for chunk in s1[1]:
+                                        entry = chunk.get(fn)
+                                        if entry is not None:
+                                            break
+                                if entry is not None:
+                                    entry = advance(entry, fn, args, s2)
+                                elif fast_entry:
+                                    entry = _Entry(args, _EMPTY_FSET, 1, 2)
                                 else:
-                                    base = s1[0]
-                                    entry = None if base is None \
-                                        else base.get(fn)
-                                    if entry is not None:
-                                        # Recurring closure whose flat copy
-                                        # was folded: advance and re-adopt
-                                        # (the stale base copy is shadowed,
-                                        # then overwritten on the next fold).
-                                        entry = advance(entry, fn, args, s2)
-                                    elif fast_entry:
-                                        entry = _Entry(args, _EMPTY_FSET, 1, 2)
-                                    else:
-                                        entry = initial_entry(fn, args)
-                                    if L < _TABLE_PROMOTE:
-                                        s1 = s1 + (fn, entry)
-                                    else:
-                                        if base is None:
-                                            base = Hamt.empty()
-                                        j = 1
-                                        while j < L:
-                                            base = base.set(s1[j], s1[j + 1])
-                                            j += 2
-                                        s1 = (base, fn, entry)
+                                    entry = initial_entry(fn, args)
+                                s1 = _table_put(s1, fn, entry)
                             else:
                                 s1 = monitor.upd(s1, fn, args, s2)
                     vals[0] = fn.env
@@ -1087,7 +1082,7 @@ def eval_code(
                         if imperative:
                             s1 = True
                         elif s1 is None:
-                            s1 = (None,) if inline_upd else Hamt.empty()
+                            s1 = _EMPTY_TABLE if inline_upd else Hamt.empty()
                     fn = fn.closure
                     continue
                 raise SchemeError(

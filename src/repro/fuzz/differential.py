@@ -40,7 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.discharge import VerificationCache, discharge_for_run
 from repro.errors import FuelExhausted
 from repro.eval.machine import Answer, run_program
-from repro.fuzz.gen import GenProgram, generate_program
+from repro.fuzz.gen import (ALL_FEATURES, WIDE_TABLE, GenProgram,
+                            generate_program)
 from repro.lang.parser import parse_program
 from repro.sct.monitor import SCMonitor
 from repro.symbolic import verify_source
@@ -396,7 +397,10 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
 
     ``mode='both'`` alternates terminating/diverging; seeds are
     ``seed .. seed+n-1``, so any finding is replayable by its seed
-    alone.  Divergences are shrunk greedily (``shrink=False`` skips)."""
+    alone.  Seeds of 6 or 7 mod 8 (a quarter, both modes) also carry the
+    opt-in :data:`~repro.fuzz.gen.WIDE_TABLE` feature, so the matrix runs
+    the cm table's spill path.  Divergences are shrunk greedily
+    (``shrink=False`` skips)."""
     from repro.fuzz.shrink import shrink_divergence
 
     cells = default_cells(matrix)
@@ -410,7 +414,10 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
             pmode = "terminating" if i % 2 == 0 else "diverging"
         else:
             pmode = mode
-        program = generate_program(s, pmode, features=features)
+        pool = features
+        if s % 8 >= 6:
+            pool = tuple(features or ALL_FEATURES) + (WIDE_TABLE,)
+        program = generate_program(s, pmode, features=pool)
         report.programs += 1
         report.by_mode[pmode] = report.by_mode.get(pmode, 0) + 1
         result = run_matrix(program, cells=cells, fuel=fuel)

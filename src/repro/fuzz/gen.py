@@ -74,6 +74,14 @@ ALL_FEATURES = (
                       # argument effects, binding-aliasing probes
 )
 
+# Opt-in, outside the default pool: each cycle call runs inside a chain of
+# fresh monitored λs, ``(wide<i> k WIDE_WIDTH (lambda () <call>))``, so the
+# cm table spills.  One helper per function, ``k`` its parameter 0: a
+# helper re-entered in its own extent sees ``k`` descend.  The verifier
+# cannot see through the thunk, so neither static promise holds.
+WIDE_TABLE = "wide-table"
+WIDE_WIDTH = 70
+
 # Features whose presence keeps the entry from fully discharging: an
 # opponent-supplied closure (a `fun`-kind entry argument) or a forced
 # promise thunk is applied at an opaque site, and the engine soundly
@@ -130,34 +138,39 @@ def generate_program(seed: int, mode: str = "terminating",
                      features: Optional[Sequence[str]] = None) -> GenProgram:
     """Deterministically generate one program.  ``mode`` is
     ``'terminating'`` or ``'diverging'``; ``features`` restricts the
-    feature pool (default: all of :data:`ALL_FEATURES`)."""
+    feature pool (default: all of :data:`ALL_FEATURES`; the opt-in
+    :data:`WIDE_TABLE` is always applied when listed and draws nothing,
+    so it only adds the wide chains to the program the rest would give)."""
     if mode not in ("terminating", "diverging"):
         raise ValueError(f"unknown fuzz mode: {mode!r}")
     pool = tuple(features) if features is not None else ALL_FEATURES
     for f in pool:
-        if f not in ALL_FEATURES:
+        if f not in ALL_FEATURES and f != WIDE_TABLE:
             raise ValueError(f"unknown fuzz feature: {f!r}")
     rng = random.Random(f"sized-fuzz/{mode}/{seed}")
-    active: Set[str] = {f for f in pool if rng.random() < 0.35}
-    g = _Gen(rng, mode, active)
+    active: Set[str] = {f for f in pool
+                        if f != WIDE_TABLE and rng.random() < 0.35}
+    g = _Gen(rng, mode, active, wide=WIDE_TABLE in pool)
     source = g.build()
+    static = mode == "terminating" and not g.wide
     return GenProgram(
         seed=seed, mode=mode, source=source, entry=g.entry.name,
         entry_kinds=tuple(g.entry_arg_kinds),
         features=tuple(sorted(g.used)),
-        must_verify=(mode == "terminating"),
-        must_discharge=(mode == "terminating"
-                        and not (g.used & _NO_DISCHARGE)),
+        must_verify=static,
+        must_discharge=static and not (g.used & _NO_DISCHARGE),
         fuel=g.fuel,
     )
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, mode: str, active: Set[str]):
+    def __init__(self, rng: random.Random, mode: str, active: Set[str],
+                 wide: bool = False):
         self.rng = rng
         self.mode = mode
         self.active = active
-        self.used: Set[str] = set()
+        self.wide = wide
+        self.used: Set[str] = {WIDE_TABLE} if wide else set()
         self.fns: List[_Fn] = []
         self.entry: _Fn = None  # type: ignore[assignment]
         self.entry_arg_kinds: List[str] = []
@@ -208,6 +221,11 @@ class _Gen:
             victim = rng.choice(self.fns)
             victim.diverging = True
         defines = [self._define(fn) for fn in self.fns]
+        if self.wide:
+            defines[:0] = [
+                f"(define (wide{i} k d t)\n  (if (zero? d) (t) "
+                f"((lambda (x) (wide{i} k (- d 1) t)) d)))"
+                for i in range(len(self.fns))]
         top = self._top_call()
         return "\n".join(defines + [top]) + "\n"
 
@@ -414,15 +432,21 @@ class _Gen:
             out = f"(begin (display {fn.params[0]}) {out})"
         return out
 
+    def _widen(self, fn: _Fn, call: str) -> str:
+        if not self.wide:
+            return call
+        return (f"(wide{fn.index} {fn.params[0]} {WIDE_WIDTH} "
+                f"(lambda () {call}))")
+
     def _rec_expr(self, fn: _Fn) -> str:
         if fn.diverging:
-            return self._planted_loop(fn)
+            return self._widen(fn, self._planted_loop(fn))
         rng = self.rng
         if fn.partner is not None and rng.random() < 0.7:
             call = self._descending_call(fn, fn.partner)
         else:
             call = self._descending_call(fn, fn)
-        body = self._combine(fn, call)
+        body = self._combine(fn, self._widen(fn, call))
         # Reach a planted diverging callee unconditionally from the
         # recursive branch, so mode 'diverging' always fires.  Parameter 0
         # of the trigger must fail the callee's base guard.

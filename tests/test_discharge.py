@@ -224,6 +224,43 @@ class TestVerificationCache:
         monkeypatch.setattr(mod, "_LIBRARIES_DIGEST", "different")
         assert VerificationCache.key("(f)", "f", ("nat",), None, "sc") != base
 
+    def test_key_depends_on_verifier_sources(self, monkeypatch):
+        """A certificate must die with the verifier that computed it, so
+        a verifier fix invalidates the store on disk."""
+        from repro.analysis import discharge as mod
+
+        digest = mod._verifier_digest()
+        assert digest == mod._verifier_digest() and len(digest) == 64
+        base = VerificationCache.key("(f)", "f", ("nat",), None, "sc")
+        monkeypatch.setattr(mod, "_VERIFIER_DIGEST", "different")
+        assert VerificationCache.key("(f)", "f", ("nat",), None, "sc") != base
+
+    def test_verifier_digest_covers_the_verifier_files(self, monkeypatch,
+                                                       tmp_path):
+        """Edit one byte of a copied verifier source: the digest moves."""
+        import shutil
+
+        from repro.analysis import discharge as mod
+
+        pkg = os.path.dirname(os.path.dirname(mod.__file__))
+        copy = tmp_path / "repro"
+        for sub in ("analysis", "symbolic", "solver", "mc"):
+            shutil.copytree(os.path.join(pkg, sub), copy / sub)
+        real = mod._verifier_digest()
+        monkeypatch.setattr(mod, "__file__",
+                            str(copy / "analysis" / "discharge.py"))
+        monkeypatch.setattr(mod, "_VERIFIER_DIGEST", None)
+        same = mod._verifier_digest()
+        assert same == real  # where the tree lives does not matter
+        for rel in ("symbolic/engine.py", "solver/fm.py",
+                    "analysis/ljb.py", "analysis/discharge.py"):
+            with open(copy / rel, "a") as fh:
+                fh.write("#")
+            monkeypatch.setattr(mod, "_VERIFIER_DIGEST", None)
+            moved = mod._verifier_digest()
+            assert moved != same, rel
+            same = moved
+
 
 class TestCacheQuarantine:
     """Corrupt on-disk entries are quarantined, not crashed on and not

@@ -14,7 +14,7 @@ from repro.fuzz import (
     run_matrix,
     shrink_divergence,
 )
-from repro.fuzz.gen import GenProgram
+from repro.fuzz.gen import WIDE_TABLE, GenProgram
 from repro.fuzz.shrink import load_regression, parse_forms, render_forms
 
 
@@ -115,6 +115,60 @@ def _lying_diverging() -> GenProgram:
         source="(define (f n)\n  (if (zero? n) 0 (f (- n 1))))\n(f 3)\n",
         entry="f", entry_kinds=("nat",), features=(),
         must_verify=False, must_discharge=False, fuel=50_000)
+
+
+class TestWideTable:
+    """The opt-in wide-table feature keeps more than 64 monitored λs live
+    around every cycle call, so the cm table spills and merges."""
+
+    POOL = ALL_FEATURES + (WIDE_TABLE,)
+
+    def test_adds_wide_chains_to_the_default_program(self):
+        for s in range(6):
+            for mode in ("terminating", "diverging"):
+                plain = generate_program(s, mode)
+                wide = generate_program(s, mode, features=self.POOL)
+                assert WIDE_TABLE not in plain.features
+                assert set(wide.features) == \
+                    set(plain.features) | {WIDE_TABLE}
+                assert (wide.entry, wide.entry_kinds, wide.fuel) == \
+                    (plain.entry, plain.entry_kinds, plain.fuel)
+                assert "(define (wide0 k d t)" in wide.source
+                assert not wide.must_verify and not wide.must_discharge
+
+    def test_runs_the_spill_path_and_stays_clean(self):
+        from unittest import mock
+
+        from repro.eval import machine
+
+        put = machine._table_put
+        widest = []
+
+        def spy(table, fn, entry):
+            table = put(table, fn, entry)
+            top, older = table
+            widest.append((1 + len(older), len(top) + sum(map(len, older))))
+            return table
+
+        for mode, kind in (("terminating", Answer.VALUE),
+                           ("diverging", Answer.SC_ERROR)):
+            program = generate_program(1, mode, features=self.POOL)
+            widest.clear()
+            with mock.patch.object(machine, "_table_put", spy):
+                result = run_matrix(program)
+            assert result.divergences == []
+            monitored = [r for r in result.cells if r.cell[2] == "monitored"]
+            assert {r.kind for r in monitored} == {kind}
+            chunks, entries = max(widest)
+            assert chunks >= 2 and entries > 64
+
+    def test_campaign_marks_seeds_six_and_seven_mod_eight(self):
+        report = run_fuzz(4, seed=6, mode="both", matrix="quick",
+                          shrink=False)
+        assert report.divergences == []
+        # Seeds 6 (terminating) and 7 are wide; seed 8 is the one plain
+        # terminating program that must verify.
+        assert report.verify_expected == 1
 
 
 class TestFuzzCampaign:
