@@ -338,19 +338,20 @@ _VERIFIER_DIGEST: Optional[str] = None
 
 
 def _verifier_digest() -> str:
-    """One digest over the verifier's own sources (``symbolic/``,
-    ``solver/``, ``mc/``, ``analysis/ljb.py`` and this module), computed
-    once per process like :func:`_libraries_digest`."""
+    """One digest over every ``.py`` file of the ``repro`` package,
+    computed once per process like :func:`_libraries_digest`.  A verdict
+    depends on the verifier, the graph engines, the witness code and
+    whatever they import next, so the whole package is hashed: any source
+    edit invalidates the store, and no verifier fix is ever missed."""
     global _VERIFIER_DIGEST
     if _VERIFIER_DIGEST is None:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         h = hashlib.sha256()
-        for rel in sorted(os.path.relpath(p, root) for pattern in (
-                "symbolic/*.py", "solver/*.py", "mc/*.py", "analysis/ljb.py",
-                "analysis/discharge.py")
-                for p in glob.glob(os.path.join(root, pattern))):
-            with open(os.path.join(root, rel), "rb") as fh:
-                h.update(rel.encode() + b"\0" + fh.read() + b"\0")
+        for path in sorted(glob.glob(os.path.join(root, "**", "*.py"),
+                                     recursive=True)):
+            with open(path, "rb") as fh:
+                h.update(os.path.relpath(path, root).encode() + b"\0"
+                         + fh.read() + b"\0")
         _VERIFIER_DIGEST = h.hexdigest()
     return _VERIFIER_DIGEST
 

@@ -9,5 +9,6 @@ values reuse the same trie.
 """
 
 from repro.ds.hamt import Hamt
+from repro.ds.plist import PList, pnil
 
-__all__ = ["Hamt"]
+__all__ = ["Hamt", "PList", "pnil"]

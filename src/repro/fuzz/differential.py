@@ -356,6 +356,7 @@ class FuzzReport:
 
     def __init__(self):
         self.programs = 0
+        self.wide = 0  # extra wide-table copies, beyond ``programs``
         self.by_mode: Dict[str, int] = {}
         self.verified = 0
         self.verify_expected = 0
@@ -367,13 +368,15 @@ class FuzzReport:
 
     @property
     def programs_per_sec(self) -> float:
-        return self.programs / self.elapsed if self.elapsed > 0 else 0.0
+        done = self.programs + self.wide
+        return done / self.elapsed if self.elapsed > 0 else 0.0
 
     def to_json(self) -> dict:
         return {
             "schema": "sized-fuzz/v1",
             "programs": self.programs,
             "by_mode": dict(self.by_mode),
+            "wide_programs": self.wide,
             "elapsed_sec": round(self.elapsed, 3),
             "programs_per_sec": round(self.programs_per_sec, 2),
             "verify_expected": self.verify_expected,
@@ -397,29 +400,19 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
 
     ``mode='both'`` alternates terminating/diverging; seeds are
     ``seed .. seed+n-1``, so any finding is replayable by its seed
-    alone.  Seeds of 6 or 7 mod 8 (a quarter, both modes) also carry the
+    alone.  Unless ``features`` is given, seeds of 6 or 7 mod 8 (a
+    quarter, both modes) also run a second program, the same one with the
     opt-in :data:`~repro.fuzz.gen.WIDE_TABLE` feature, so the matrix runs
-    the cm table's spill path.  Divergences are shrunk greedily
-    (``shrink=False`` skips)."""
+    the cm table's spill path (counted in ``wide``, not ``programs``).
+    Divergences are shrunk greedily (``shrink=False`` skips)."""
     from repro.fuzz.shrink import shrink_divergence
 
     cells = default_cells(matrix)
     report = FuzzReport()
     report.native_entered = {":".join(c): 0 for c in cells
                              if c[0] == "native"}
-    start = time.perf_counter()
-    for i in range(n):
-        s = seed + i
-        if mode == "both":
-            pmode = "terminating" if i % 2 == 0 else "diverging"
-        else:
-            pmode = mode
-        pool = features
-        if s % 8 >= 6:
-            pool = tuple(features or ALL_FEATURES) + (WIDE_TABLE,)
-        program = generate_program(s, pmode, features=pool)
-        report.programs += 1
-        report.by_mode[pmode] = report.by_mode.get(pmode, 0) + 1
+
+    def check(program: GenProgram) -> None:
         result = run_matrix(program, cells=cells, fuel=fuel)
         if program.must_verify:
             report.verify_expected += 1
@@ -437,6 +430,21 @@ def run_fuzz(n: int, seed: int = 0, mode: str = "both",
                 shrink_divergence(div, cells=cells, fuel=fuel,
                                   max_attempts=max_shrink)
             report.divergences.append(div)
+
+    start = time.perf_counter()
+    for i in range(n):
+        s = seed + i
+        if mode == "both":
+            pmode = "terminating" if i % 2 == 0 else "diverging"
+        else:
+            pmode = mode
+        report.programs += 1
+        report.by_mode[pmode] = report.by_mode.get(pmode, 0) + 1
+        check(generate_program(s, pmode, features=features))
+        if features is None and s % 8 >= 6:
+            report.wide += 1
+            check(generate_program(s, pmode,
+                                   features=ALL_FEATURES + (WIDE_TABLE,)))
         if progress is not None:
             progress(i + 1, n, report)
     report.elapsed = time.perf_counter() - start

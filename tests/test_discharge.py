@@ -235,25 +235,29 @@ class TestVerificationCache:
         monkeypatch.setattr(mod, "_VERIFIER_DIGEST", "different")
         assert VerificationCache.key("(f)", "f", ("nat",), None, "sc") != base
 
-    def test_verifier_digest_covers_the_verifier_files(self, monkeypatch,
-                                                       tmp_path):
-        """Edit one byte of a copied verifier source: the digest moves."""
+    def test_verifier_digest_covers_every_package_source(self, monkeypatch,
+                                                         tmp_path):
+        """Edit one byte of a copied source the verdict depends on (the
+        verifier, the graph engines, the witness code) or of any other
+        package file: the digest moves."""
         import shutil
 
         from repro.analysis import discharge as mod
 
         pkg = os.path.dirname(os.path.dirname(mod.__file__))
         copy = tmp_path / "repro"
-        for sub in ("analysis", "symbolic", "solver", "mc"):
-            shutil.copytree(os.path.join(pkg, sub), copy / sub)
+        shutil.copytree(pkg, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
         real = mod._verifier_digest()
         monkeypatch.setattr(mod, "__file__",
                             str(copy / "analysis" / "discharge.py"))
         monkeypatch.setattr(mod, "_VERIFIER_DIGEST", None)
         same = mod._verifier_digest()
         assert same == real  # where the tree lives does not matter
-        for rel in ("symbolic/engine.py", "solver/fm.py",
-                    "analysis/ljb.py", "analysis/discharge.py"):
+        for rel in ("symbolic/engine.py", "solver/fm.py", "analysis/ljb.py",
+                    "analysis/discharge.py", "sct/bitgraph.py",
+                    "sct/graph.py", "sct/order.py", "analysis/witness.py",
+                    "analysis/anchors.py", "eval/machine.py"):
             with open(copy / rel, "a") as fh:
                 fh.write("#")
             monkeypatch.setattr(mod, "_VERIFIER_DIGEST", None)

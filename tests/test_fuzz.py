@@ -162,13 +162,26 @@ class TestWideTable:
             chunks, entries = max(widest)
             assert chunks >= 2 and entries > 64
 
-    def test_campaign_marks_seeds_six_and_seven_mod_eight(self):
+    def test_campaign_adds_wide_copies_of_seeds_six_and_seven_mod_eight(
+            self):
         report = run_fuzz(4, seed=6, mode="both", matrix="quick",
                           shrink=False)
         assert report.divergences == []
-        # Seeds 6 (terminating) and 7 are wide; seed 8 is the one plain
-        # terminating program that must verify.
-        assert report.verify_expected == 1
+        # Seeds 6..9 run as plain programs; 6 and 7 run a wide copy on
+        # top, so both plain terminating programs (6, 8) must verify.
+        assert (report.programs, report.wide) == (4, 2)
+        assert report.verify_expected == report.by_mode["terminating"] == 2
+        assert report.verified == 2
+
+    def test_explicit_features_are_kept_as_given(self):
+        plain = run_fuzz(2, seed=6, mode="terminating", matrix="quick",
+                         features=("accumulators",), shrink=False)
+        assert (plain.programs, plain.wide, plain.verify_expected) == \
+            (2, 0, 2)
+        wide = run_fuzz(1, seed=0, mode="terminating", matrix="quick",
+                        features=(WIDE_TABLE,), shrink=False)
+        assert (wide.programs, wide.wide, wide.verify_expected) == (1, 0, 0)
+        assert wide.divergences == []
 
 
 class TestFuzzCampaign:
@@ -177,7 +190,9 @@ class TestFuzzCampaign:
                           shrink=False)
         assert report.programs == 8
         assert report.by_mode == {"terminating": 4, "diverging": 4}
+        assert report.wide == 2
         assert report.divergences == []
+        assert report.verify_expected == report.by_mode["terminating"]
         assert report.verified == report.verify_expected
         assert report.discharged == report.discharge_expected
 
